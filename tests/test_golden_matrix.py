@@ -32,6 +32,21 @@ MODELS = [("bsp", 0), ("ssp", 1), ("asp", 0)]
 GOLDEN_BSP_HASH = \
     "433406334a7eb8f7b7e15868cb34e219bf7f5bb2498596e8931ef3e3df419684"
 
+#: sha256 over (losses, weights, makespan, bytes by tag, counters) of the
+#: replicated BSP / coalesce-on cells, keyed by (replication,
+#: chain_replicas).  Unlike the loss-only golden hash these pin every
+#: virtual byte and timing the replication machinery produces, so a
+#: refactor that moves one fan-out or one install trips them.  A digest
+#: change is a behaviour change, not something to re-pin.
+REPLICATED_DIGESTS = {
+    ("topk", 0):
+        "6499a76dec31da83823a780114126569bd8d7cd9ffaaee115b2cfc22613e8e5d",
+    ("off", 1):
+        "46ee0067699e66c97c9204fdff06ea1f8212828c2d7c3bbcfdc871d03056283e",
+    ("topk", 1):
+        "170b7192a4c4e1781e4e6dabb7b977e06baacd0e686982e6ea60b2158d8f3710",
+}
+
 
 def _run(consistency, staleness, coalesce, replication,
          timeseries_window=0.0, trace=False, wire_codec="off",
@@ -62,6 +77,35 @@ def _loss_hash(losses):
     return hashlib.sha256(
         np.asarray(losses, dtype=np.float64).tobytes()
     ).hexdigest()
+
+
+def _virtual_digest(losses, weights, ctx):
+    metrics = ctx.metrics
+    digest = hashlib.sha256()
+    digest.update(np.asarray(losses, dtype=np.float64).tobytes())
+    digest.update(np.asarray(weights, dtype=np.float64).tobytes())
+    digest.update(repr(ctx.elapsed()).encode())
+    digest.update(repr(sorted(metrics.bytes_by_tag.items())).encode())
+    digest.update(repr(sorted(metrics.counters.items())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("replication,chain", sorted(REPLICATED_DIGESTS))
+def test_replicated_cell_matches_pinned_digest(replication, chain):
+    losses, weights, ctx = _run("bsp", 0, True, replication,
+                                chain_replicas=chain)
+    counters = ctx.metrics.counters
+    if replication == "topk" and chain:
+        # The shared-holder path: a hot replica that is also a chain
+        # successor gets one fan-out, counted as a replica fan-out.
+        assert counters["replica-fanouts"] == 24
+        assert counters["chain-fanouts"] == 36
+    elif chain:
+        assert counters["chain-fanouts"] == 48
+    else:
+        assert counters["replica-fanouts"] == 24
+    assert _virtual_digest(losses, weights, ctx) == \
+        REPLICATED_DIGESTS[(replication, chain)]
 
 
 @pytest.mark.parametrize("consistency,staleness", MODELS)
