@@ -85,17 +85,19 @@ class Cluster:
         #: ``hook(node_id, new_clock)``.  Worker-side parameter caches
         #: register here to run their version-vector renewal RPC.
         self.clock_advance_hooks = []
-        #: The hot-key replication manager, installed by the PS master when
-        #: ``config.replication`` is on; ``None`` keeps every transport and
-        #: server path bit-identical to a pre-replication build.
+        #: The replica substrate, installed by the PS master when
+        #: ``config.replication`` or ``config.chain_replicas`` is on;
+        #: ``None`` keeps every transport and server path bit-identical to
+        #: a pre-replication build.
+        self.substrate = None
+        #: The substrate's hot-key policy (``None`` with replication off).
         self.replication = None
         #: The wire-codec cost model, installed by the PS master when
         #: ``config.wire_codec`` is on; ``None`` keeps every wire formula
         #: bit-identical to a pre-codec build.
         self.costmodel = None
-        #: The chain replicator, installed by the PS master when
-        #: ``config.chain_replicas`` > 0; ``None`` keeps every transport
-        #: and server path bit-identical to a pre-chain build.
+        #: The substrate's chain policy (``None`` with ``chain_replicas``
+        #: 0).
         self.chain = None
         # Imported lazily: the repro.ps package init pulls in modules that
         # import this module back (e.g. ps.master needs DRIVER), so a

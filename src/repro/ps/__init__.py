@@ -4,7 +4,7 @@ from repro.ps.checkpoint import CheckpointManager, STORAGE_BANDWIDTH
 from repro.ps.client import PSClient
 from repro.ps.master import MatrixInfo, PSMaster
 from repro.ps.partitioner import ColumnLayout, RowLayout
-from repro.ps.replication import HotKeyManager
+from repro.ps.replication import ChainPolicy, HeatPolicy, ReplicaSubstrate
 from repro.ps.retry import MAX_SERVER_RETRIES, RetryPolicy
 from repro.ps.server import PSServer, ReplicaEntry, RowShard
 
@@ -18,7 +18,9 @@ __all__ = [
     "PSMaster",
     "ColumnLayout",
     "RowLayout",
-    "HotKeyManager",
+    "ReplicaSubstrate",
+    "HeatPolicy",
+    "ChainPolicy",
     "PSServer",
     "ReplicaEntry",
     "RowShard",

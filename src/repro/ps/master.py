@@ -93,16 +93,6 @@ class PSMaster:
         self.checkpoint_sweep_times = []
         if self._next_sweep is not None:
             cluster.stage_end_hooks.append(self.maybe_checkpoint)
-        #: The hot-key replication manager — ``None`` with the knob off, so
-        #: every transport/server fast path stays bit-identical to a
-        #: pre-replication build (the golden-run guarantee).
-        self.replication = None
-        if getattr(cluster.config, "replication", "off") != "off":
-            from repro.ps.replication import HotKeyManager
-
-            self.replication = HotKeyManager(cluster, self)
-            cluster.replication = self.replication
-            cluster.stage_end_hooks.append(self._rebalance_at_stage_end)
         #: The wire-codec cost model — ``None`` with the knob off, so every
         #: wire-size formula stays bit-identical to a pre-codec build.
         self.costmodel = None
@@ -111,16 +101,26 @@ class PSMaster:
 
             self.costmodel = CostModel(cluster, cluster.config)
             cluster.costmodel = self.costmodel
-        #: The chain replicator — ``None`` with ``chain_replicas == 0``, so
-        #: every transport/server fast path stays bit-identical to a
-        #: pre-chain build and checkpoint restore stays the only recovery
-        #: path (the golden-run guarantee).
-        self.chain = None
-        if int(getattr(cluster.config, "chain_replicas", 0)) > 0:
-            from repro.ps.replication import ChainReplicator
+        #: The replica substrate and its two placement policies: hot-key
+        #: read replicas (``replication``) and durability chains
+        #: (``chain``).  Each handle is ``None`` with its knob off, and
+        #: with both off no substrate exists, so every transport/server
+        #: fast path stays bit-identical to a pre-replication build and
+        #: checkpoint restore stays the only recovery path (the golden-run
+        #: guarantee).
+        self.substrate = self.replication = self.chain = None
+        if cluster.config.replication != "off" \
+                or int(cluster.config.chain_replicas) > 0:
+            from repro.ps.replication import ReplicaSubstrate
 
-            self.chain = ChainReplicator(cluster, self)
+            self.substrate = ReplicaSubstrate(cluster, self)
+            self.replication = self.substrate.heat
+            self.chain = self.substrate.chain
+            cluster.substrate = self.substrate
+            cluster.replication = self.replication
             cluster.chain = self.chain
+            if self.replication is not None:
+                cluster.stage_end_hooks.append(self._rebalance_at_stage_end)
 
     @property
     def n_servers(self):
@@ -175,8 +175,8 @@ class PSMaster:
                 REQUEST_HEADER_BYTES,
                 tag="ps-allocate",
             )
-        if self.chain is not None:
-            self.chain.on_matrix_created(matrix_id)
+        if self.substrate is not None:
+            self.substrate.notify("on_matrix_created", matrix_id)
         return matrix_id
 
     def _lazy_rng(self, matrix_id, row):
@@ -236,10 +236,8 @@ class PSMaster:
         self._matrices.pop(matrix_id, None)
         for server in self.servers:
             server.drop_matrix(matrix_id)
-        if self.replication is not None:
-            self.replication.on_matrix_freed(matrix_id)
-        if self.chain is not None:
-            self.chain.on_matrix_freed(matrix_id)
+        if self.substrate is not None:
+            self.substrate.on_matrix_freed(matrix_id)
 
     def info(self, matrix_id):
         try:
@@ -406,17 +404,12 @@ class PSMaster:
             DRIVER, server.node_id, REQUEST_HEADER_BYTES, tag="ps-recover"
         )
         self.cluster.metrics.increment("server-recoveries")
-        if self.chain is not None:
-            # Re-establish the chains at the new epoch: successors of this
-            # primary get fresh full copies (their old ones fenced out any
-            # fan-out during the crash window), and copies it hosted for
+        if self.substrate is not None:
+            # Re-install holders at the new epoch: copies OF this server's
+            # shards fenced out any fan-out during the crash window (and
+            # the primary may have rolled back), and copies it HOSTED for
             # other primaries died with its state.
-            self.chain.on_server_recovered(server_index)
-        if self.replication is not None:
-            # Refresh the replica topology at the new epoch: replicas OF
-            # this server's shards are stale (the primary may have rolled
-            # back), and replicas it HOSTED died with its state.
-            self.replication.on_server_recovered(server_index)
+            self.substrate.on_server_recovered(server_index)
         tracer = self.cluster.tracer
         if tracer.enabled:
             tracer.record(
@@ -460,33 +453,28 @@ class PSMaster:
                 "cannot resize the PS tier below one server (got %d)"
                 % new_count
             )
-        # Chains are torn down *before* the migration sweep (while every
-        # pre-resize holder is addressable): every copy was installed
-        # against the old shard map, and a crash mid-migration must take
-        # the checkpoint path rather than promote stale-layout state.
-        # :meth:`_after_resize` re-forms them over the new stores.
-        if self.chain is not None:
-            self.chain.on_topology_resized()
+        # Every copy was installed against the old shard map.  Chains are
+        # torn down *before* the migration sweep, so a crash mid-migration
+        # takes the checkpoint path rather than promoting stale-layout
+        # state; hot replicas are demoted after it, while every server
+        # object (departing ones included) is still addressable.
+        # :meth:`_after_resize` re-forms the chains over the new stores.
+        if self.substrate is not None:
+            self.substrate.notify("before_resize")
         if new_count > old_count:
             for _ in range(new_count - old_count):
                 node_id = self.cluster.add_server_node()
                 server = PSServer(self.cluster, node_id, len(self.servers))
                 server.revive()
                 self.servers.append(server)
-            self._migrate(new_count)
         else:
             self._drain_departing(new_count, old_count)
-            self._migrate(new_count)
-            # Replicas were installed against the pre-resize topology and
-            # may live on (or point at) departing indices: demote them all
-            # while every server object is still addressable.
-            if self.replication is not None:
-                self.replication.on_topology_resized()
-            for _ in range(old_count - new_count):
-                self.servers.pop()
-                self.cluster.remove_server_node()
-        if new_count > old_count and self.replication is not None:
-            self.replication.on_topology_resized()
+        self._migrate(new_count)
+        if self.substrate is not None:
+            self.substrate.notify("on_topology_resized")
+        for _ in range(old_count - new_count):
+            self.servers.pop()
+            self.cluster.remove_server_node()
         self._after_resize(old_count, new_count)
 
     def _drain_departing(self, new_count, old_count):
@@ -635,10 +623,10 @@ class PSMaster:
         self.fanout_group_plans.clear()
         if self.costmodel is not None:
             self.costmodel.on_topology_resized()
-        if self.chain is not None:
+        if self.substrate is not None:
             # Chains re-form over the post-migration stores (the teardown
             # ran before the sweep), charging honest chain-sync streams.
-            self.chain.reform()
+            self.substrate.notify("after_resize")
         # Pre-resize snapshots hold pre-migration shard ranges; restoring
         # one would corrupt widths (reconcile only fills *missing* shards).
         # Drop them, and — when checkpointing was in play — take a fresh
@@ -664,9 +652,9 @@ class PSMaster:
         if not server.is_alive():
             return self.recover(server_index)
         self._reconcile(server)
-        if self.chain is not None:
+        if self.substrate is not None:
             # Repaired shards were written outside the fan-out path; the
             # chain copies must follow.
-            self.chain.resync_primary(server_index)
+            self.substrate.notify("on_repaired", server_index)
         self.cluster.metrics.increment("server-repairs")
         return server

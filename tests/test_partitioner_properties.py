@@ -160,7 +160,7 @@ def test_route_read_lands_on_primary_or_valid_replica(
     epoch = master.server(primary).epoch
     for _ in range(4):
         request = messages.PullRangeRequest(primary, m, 0, start, stop)
-        routed = manager.route_read(request)
+        routed = master.substrate.route_read(request)
         assert routed.server_index in [primary] + replicas
         if routed.server_index != primary:
             assert routed.replica_of == primary
