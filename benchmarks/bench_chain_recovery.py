@@ -18,9 +18,13 @@ the post-crash tail:
   2x of the no-crash baseline: reads route to the ring successor the
   moment the primary dies, and the one promotion moves shard state at
   NIC speed;
-- the checkpoint arm pays a visible pause: the first request that needs
-  the dead server stalls behind retry backoff plus a storage-bandwidth
-  restore, and open-loop arrivals pile up behind it;
+- the checkpoint arm pays a longer worst-case stall: the first request
+  that needs the dead server waits behind retry backoff plus a
+  storage-bandwidth restore.  The stall shows in the post-crash *max*
+  (3.45 ms against the chain arm's 2.23 ms in
+  ``results/chain_recovery.txt``), not in the p99: only a handful of
+  requests sit behind it, so the checkpoint arm's post-crash p99
+  (0.226 ms) is in fact slightly below the chain arm's (0.231 ms);
 - both crash arms are bit-identical under the seed (rerun asserted).
 """
 
@@ -162,7 +166,8 @@ def test_chain_recovery(benchmark):
     assert chain["recoveries"] == 1
     # Zero-downtime headline: post-crash p99 within 2x of never crashing.
     assert chain["post_p99"] <= 2.0 * baseline["post_p99"]
-    # The checkpoint-only arm took the storage restore and visibly paused.
+    # The checkpoint-only arm took the storage restore, and its worst
+    # post-crash request waited longer than the chain arm's.
     assert checkpoint["restores"] == 1
     assert checkpoint["post_max"] > chain["post_max"]
     # Both crash arms served every request correctly all the same.

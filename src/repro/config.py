@@ -266,8 +266,9 @@ class ClusterConfig:
     ``replication`` selects the NuPS-style hot-key replication policy
     (``repro.ps.replication``):
 
-    - ``"off"`` (default): no replication manager is constructed at all —
-      every code path is bit-identical to a pre-replication run;
+    - ``"off"`` (default): no heat policy is constructed (and with
+      ``chain_replicas == 0`` no replica substrate at all) — every code
+      path is bit-identical to a pre-replication run;
     - ``"topk"``: at every rebalance sweep, the hottest
       ``hot_key_fraction`` of (matrix, server) shard keys — ranked by the
       same unified heat metric the hot-shard telemetry reports — are
@@ -301,12 +302,12 @@ class ClusterConfig:
     ``codec_topk_ratio`` is the kept fraction for top-k sparsification.
 
     ``chain_replicas`` enables ElasticDL-style chained shard replication
-    for zero-downtime recovery (``repro.ps.replication.ChainReplicator``):
+    for zero-downtime recovery (``repro.ps.replication.ChainPolicy``):
     every primary server keeps its full store mirrored on the next M live
     servers in ring order, every applied write fans out epoch/counter-
     fenced, and a crash promotes the most-advanced successor instead of
     pausing for a checkpoint restore.  0 (the default) constructs no
-    chain replicator at all — every code path is bit-identical to a
+    chain policy at all — every code path is bit-identical to a
     pre-chain build; checkpoint-restore remains the only recovery path.
     """
 

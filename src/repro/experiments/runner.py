@@ -56,7 +56,7 @@ def make_context(n_executors=20, n_servers=20, seed=0, task_failure_prob=0.0,
 
     ``chain_replicas`` configures chained shard replication (M successor
     replicas per primary, promoted on crash) for the fault-tolerance
-    experiments; the default 0 constructs no chain replicator at all
+    experiments; the default 0 constructs no chain policy at all
     (bit-identical to a pre-chain run).
 
     ``elasticity`` configures elastic scaling for the serving-tier

@@ -152,7 +152,7 @@ class PSClient:
         the shared layout, across clients), so it is only safe when no one
         mutates requests between sends.  Pushes swap same-length value
         views into pooled requests, which keeps every memoized wire-size
-        formula input unchanged.  The replication manager retargets reads
+        formula input unchanged.  The replica substrate retargets reads
         in place (``route_read``), but the transport undoes any leftover
         retarget before re-offering a request, so pooling stays on under
         replication — the pool is merely *invalidated* (cleared) whenever

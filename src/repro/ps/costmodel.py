@@ -16,7 +16,7 @@ the transport already maintains into one decision point:
 - **shard heat** from :meth:`Metrics.shard_heat`: persistently hot
   shards get the aggressive sparsifying codec on gradient pushes, and
   :meth:`replication_worthwhile` prices the *same* heat against
-  migration bytes for :class:`HotKeyManager`'s promote sweeps — one
+  migration bytes for :class:`HeatPolicy`'s promote sweeps — one
   model, both knobs.
 
 The model runs **before routing** in ``Transport.send``/``send_all`` so
