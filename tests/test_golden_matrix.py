@@ -47,6 +47,31 @@ REPLICATED_DIGESTS = {
         "170b7192a4c4e1781e4e6dabb7b977e06baacd0e686982e6ea60b2158d8f3710",
 }
 
+#: The same virtual digest for the BSP / coalesce-on / replication-off cell
+#: run under each forced or self-tuning wire codec.  The cost model
+#: re-prices messages per send, so these pin that codec decisions and the
+#: transport's booking order together leave every byte and timing as is.
+CODEC_DIGESTS = {
+    "auto": "7a09816d520dab6d47cef823a52a5b4bacbd85a1fe8bd9dbd8040166b595d185",
+    "topk": "7a09816d520dab6d47cef823a52a5b4bacbd85a1fe8bd9dbd8040166b595d185",
+    "int8": "6e8e5a1ab037d6c9decca1e5edeb1e330f56998453ddd7fcf9cc758aef22fac8",
+    "fp16": "3d82050ba196742d64e94f9bfbf5bbbcd39420186f4aeb59e7885fbb2a2d9254",
+}
+
+#: Virtual digest of ``tests.test_chaos._chaos_run``: two scheduled server
+#: crashes, an executor crash, a partition window and checkpoint sweeps,
+#: so every retry, recovery and re-routed send is pinned.
+CHAOS_DIGEST = \
+    "7d092ca642d9051ffae2844c974d7bb98d1f42919a195779216662fd5aa12865"
+
+#: sha256 over ``(node, op, cat, start, end, span_id, parent_id, trace_id)``
+#: of every span of the traced canonical cell, in record order.  Span ids
+#: are handed out in record order, so this pins the order in which the
+#: transport books, serves and answers each traced message.
+TRACED_SPAN_COUNT = 326
+TRACED_SPAN_DIGEST = \
+    "6834c9f76e5b8d72c22b015495327e03a44b28565008d90446f3f0215dc7d697"
+
 
 def _run(consistency, staleness, coalesce, replication,
          timeseries_window=0.0, trace=False, wire_codec="off",
@@ -88,6 +113,39 @@ def _virtual_digest(losses, weights, ctx):
     digest.update(repr(sorted(metrics.bytes_by_tag.items())).encode())
     digest.update(repr(sorted(metrics.counters.items())).encode())
     return digest.hexdigest()
+
+
+def _span_digest(spans):
+    digest = hashlib.sha256()
+    for span in spans:
+        digest.update(repr((span.node, span.op, span.cat, span.start,
+                            span.end, span.span_id, span.parent_id,
+                            span.trace_id)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("wire_codec", sorted(CODEC_DIGESTS))
+def test_codec_cell_matches_pinned_digest(wire_codec):
+    losses, weights, ctx = _run("bsp", 0, True, "off", wire_codec=wire_codec)
+    assert ctx.metrics.codec_decisions
+    assert _virtual_digest(losses, weights, ctx) == CODEC_DIGESTS[wire_codec]
+
+
+def test_chaos_run_matches_pinned_digest():
+    from tests.test_chaos import _chaos_run
+
+    ctx, result, weights = _chaos_run()
+    assert ctx.metrics.counters["server-recoveries"] >= 1
+    assert ctx.metrics.counters["op-retries"] >= 1
+    losses = [loss for _t, loss in result.history]
+    assert _virtual_digest(losses, weights, ctx) == CHAOS_DIGEST
+
+
+def test_traced_cell_matches_pinned_span_digest():
+    _losses, _weights, ctx = _run("bsp", 0, True, "off", trace=True)
+    spans = ctx.cluster.tracer.spans
+    assert len(spans) == TRACED_SPAN_COUNT
+    assert _span_digest(spans) == TRACED_SPAN_DIGEST
 
 
 @pytest.mark.parametrize("replication,chain", sorted(REPLICATED_DIGESTS))
