@@ -960,8 +960,19 @@ class ChainPolicy:
             self._drop(key, self.substrate.holders_of(key, self))
 
     def after_resize(self):
-        """Re-form the chains over the post-migration stores."""
-        for server_index in range(self.master.n_servers):
+        """Retire the chains of departed primaries, then re-form the
+        chains over the post-migration stores.
+
+        A primary that was down when a shrink began is recovered
+        mid-migration, and that recovery re-forms its chains under an
+        index the shrink then removes; left in the map, those claims
+        would outlive their primary.
+        """
+        n_servers = self.master.n_servers
+        for key in sorted(self.substrate.claimed(self)):
+            if key[1] >= n_servers:
+                self._drop(key, self.substrate.holders_of(key, self))
+        for server_index in range(n_servers):
             self.resync_primary(server_index)
         self.cluster.metrics.increment("chain-reforms")
 

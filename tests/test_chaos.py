@@ -706,3 +706,31 @@ def test_chain_crash_during_resize_reforms():
         assert sorted(holders) == chain.successors(primary)
         assert chain.key_lag(_matrix_id, primary) == 0
     assert np.allclose(client.pull_row(m, 0), np.arange(30.0))
+
+
+def test_shrink_with_a_down_primary_retires_its_chain():
+    """A server that is down when a shrink removes it is recovered
+    mid-migration, and that recovery re-forms its chain under an index
+    the shrink then drops.  The resize retires those claims: the chain
+    map names only live primaries, the holder's copy is gone, and the
+    chain report and the next recovery run without an IndexError."""
+    from repro.obs.report import chain_table
+
+    ctx = make_context(n_executors=2, n_servers=4, seed=19, chain_replicas=1)
+    client = ctx.client_for(ctx.cluster.executors[0])
+    m = ctx.master.create_matrix(64)
+    client.push_add(m, 0, np.ones(64))
+    ctx.master.servers[3].crash()
+    ctx.master.resize_servers(3)
+    chain = ctx.cluster.chain
+    assert sorted(chain.links) == [(m, 0), (m, 1), (m, 2)]
+    for (_matrix_id, primary), holders in chain.links.items():
+        assert sorted(holders) == chain.successors(primary)
+    for server in ctx.master.servers:
+        assert all(primary < 3 for _m, primary in server.replica_store)
+    assert "chain" in chain_table(ctx.cluster)
+    before = client.pull_row(m, 0)
+    ctx.master.servers[0].crash()
+    ctx.master.recover(0)
+    assert ctx.metrics.counters["chain-promotions"] == 1
+    assert np.array_equal(client.pull_row(m, 0), before)
