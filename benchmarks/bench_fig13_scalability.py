@@ -132,7 +132,8 @@ def test_fig13b_model_size_scalability(benchmark):
 
 
 @pytest.mark.benchmark(group="fig13")
-def test_fig13_host_throughput(benchmark):
+@pytest.mark.parametrize("wire_codec", ["off", "auto"])
+def test_fig13_host_throughput(benchmark, wire_codec):
     """PS-op storm: how many simulated events the host sustains per second.
 
     Unlike 13(a)/(b), this cell is deliberately framework-bound — dense and
@@ -141,12 +142,15 @@ def test_fig13_host_throughput(benchmark):
     the simulator core (NIC timeline bookings, message dispatch, counter
     stamps) rather than numpy kernels.  The measured rate is asserted
     against the checked-in floor so the PR 7 vectorization win cannot
-    silently regress.
+    silently regress.  The floor holds with the self-tuning codec cost
+    model on as well as off: both configurations run the same staged
+    transport rounds.
     """
     iterations = bench_params()["iterations"]
 
     def run():
-        ctx = make_context(n_executors=100, n_servers=50, seed=17)
+        ctx = make_context(n_executors=100, n_servers=50, seed=17,
+                           wire_codec=wire_codec)
         dim = 5000
         dense = ctx.dense(dim, rows=16, name="storm-dense")
         sparse = ctx.sparse(dim, rows=4, name="storm-sparse")
@@ -177,10 +181,11 @@ def test_fig13_host_throughput(benchmark):
     benchmark.extra_info["host_events_per_second"] = round(eps, 1)
     benchmark.extra_info["simulated_events"] = events
     emit(
-        "fig13_host_throughput",
-        "Figure 13 (host): PS-op storm sustained %d simulated events in "
-        "%.3f host-seconds (%.0f events/s; virtual makespan %.4f s)"
-        % (events, wall, eps, makespan),
+        "fig13_host_throughput"
+        + ("" if wire_codec == "off" else "_" + wire_codec),
+        "Figure 13 (host): PS-op storm (wire_codec=%s) sustained %d "
+        "simulated events in %.3f host-seconds (%.0f events/s; virtual "
+        "makespan %.4f s)" % (wire_codec, events, wall, eps, makespan),
     )
 
     if os.path.exists(THROUGHPUT_FLOOR_PATH):
@@ -188,7 +193,7 @@ def test_fig13_host_throughput(benchmark):
             floor = json.load(fh)
         # Host throughput is machine-dependent; the floor is set well below
         # the post-vectorization rate on the recording machine but above
-        # anything the per-message slow path can reach.
+        # what serving one round per message can reach.
         assert eps >= floor["host_events_per_second_floor"], (
             "simulator throughput regressed: %.0f events/s < floor %.0f"
             % (eps, floor["host_events_per_second_floor"])

@@ -76,25 +76,6 @@ class MetricsRegistry:
         self.messages_by_tag[tag] += 1
         self.logical_messages_by_tag[tag] += messages
 
-    def record_transfer_many(self, items):
-        """Bulk :meth:`record_transfer`: *items* of (src, dst, nbytes, tag,
-        messages).
-
-        Counter sums are order-insensitive, so one bulk call on the fan-out
-        fast path leaves every total bit-identical to per-message recording.
-        """
-        bytes_sent = self.bytes_sent
-        bytes_received = self.bytes_received
-        bytes_by_tag = self.bytes_by_tag
-        messages_by_tag = self.messages_by_tag
-        logical = self.logical_messages_by_tag
-        for src, dst, nbytes, tag, messages in items:
-            bytes_sent[src] += nbytes
-            bytes_received[dst] += nbytes
-            bytes_by_tag[tag] += nbytes
-            messages_by_tag[tag] += 1
-            logical[tag] += messages
-
     def record_transfer_fanout(self, src, items):
         """Bulk-record a one-source fan-out: *items* of (dst, nbytes, tag,
         messages), all sharing *src*.
@@ -200,43 +181,16 @@ class MetricsRegistry:
         if nbytes:
             self.shard_bytes[key] += float(nbytes)
 
-    def record_service_chain(self, node_id, tag, seconds_list):
-        """Bulk-record a chain of same-tag service slots on one server.
-
-        Equivalent to ``record_compute`` + ``record_request`` + ``observe``
-        once per entry, in order — the accumulation sequence per counter is
-        unchanged, so every total (including float sums) is bit-identical
-        to per-slot recording.  One call replaces 3N on the fused-batch
-        path.
-        """
-        n = len(seconds_list)
-        compute_total = self.compute_seconds[node_id]
-        for seconds in seconds_list:
-            compute_total += seconds
-        self.compute_seconds[node_id] = compute_total
-        self.compute_counts[tag] += n
-        self.requests_by_server[node_id] += n
-        self.requests_by_server_tag[(node_id, tag)] += n
-        observe_tag = "srv:" + tag
-        hist = self.latency.get(observe_tag)
-        if hist is None:
-            hist = self.latency[observe_tag] = StreamingHistogram()
-        hist.record_many(seconds_list)
-        if self.window_sink is not None:
-            sink_observe = self.window_sink.observe
-            for seconds in seconds_list:
-                sink_observe(observe_tag, seconds)
-
     def record_service_bulk(self, tag, node_ids, seconds_list):
         """Bulk-record same-tag singleton services across many servers.
 
         Entry *i* is one service slot of ``seconds_list[i]`` virtual
         seconds on ``node_ids[i]``.  Every per-key accumulation (float
         compute totals, request counts, the shared per-tag histogram)
-        happens in entry order, so the result is bit-identical to
-        :meth:`record_service_chain` with a one-element chain per entry —
-        the transport's fan-out serve loop batches a whole fan-out into
-        one call.
+        happens in entry order, so the result is bit-identical to one
+        ``record_compute`` + ``record_request`` + ``observe`` per entry —
+        the transport's serve lane batches each run of same-tag slots
+        into one call.
         """
         compute_seconds = self.compute_seconds
         requests_by_server = self.requests_by_server

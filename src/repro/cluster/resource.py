@@ -10,10 +10,12 @@ and places each new job in the first idle gap at or after its arrival —
 so the outcome is independent of processing order while capacity is never
 double-booked.  Adjacent intervals are merged, keeping the list short.
 
-Fast path (PR 7): a fan-out books its N transfers through
-:meth:`reserve_many` in one call — same gap search per job, but without N
-rounds of Python call overhead — and ``busy_seconds`` is an incrementally
-maintained total instead of an O(intervals) re-sum per query.
+A transport round books its N transfers through :meth:`reserve_many` in
+one call — same gap search per job, but without N rounds of Python call
+overhead — and ``busy_seconds`` is an incrementally maintained total
+instead of an O(intervals) re-sum per query.  A coalesced batch's service
+slots chain through plain :meth:`reserve` calls, each starting at the
+previous slot's end.
 """
 
 from __future__ import annotations
@@ -198,26 +200,6 @@ class TimelineResource:
                     append(last_end)
                     continue
             append(reserve(earliest, duration))
-        return starts_out
-
-    def reserve_chain(self, earliest, durations):
-        """Book *durations* back-to-back: each starts at the previous end.
-
-        Equivalent to ``t = earliest; for d in durations: t = reserve(t, d)
-        + d`` — the server CPU's service chain for a coalesced batch —
-        returning the list of booked starts.  Kept as a loop over the same
-        probe/insert primitives so a chain that straddles existing bookings
-        splits across gaps exactly as sequential :meth:`reserve` would.
-        """
-        starts_out = []
-        append = starts_out.append
-        reserve = self.reserve
-        at = earliest
-        for duration in durations:
-            start = reserve(at, duration)
-            append(start)
-            if duration > 0:
-                at = start + duration
         return starts_out
 
     def _insert(self, index, start, end):

@@ -274,8 +274,10 @@ def test_rebalance_consults_the_gate():
 
 
 def test_costmodel_disables_bulk_and_fused_paths_but_results_match():
-    """A cost-model run takes the per-message path; with forced identity
-    tiers (fast NIC) its results still match a codec-off run exactly."""
+    """A cost-model run takes the same staged transport rounds as a
+    codec-off run (the cost model only switches off the client plan
+    pools); with forced identity tiers (fast NIC) its results match a
+    codec-off run exactly."""
     results = {}
     for codec in ("off", "auto"):
         cluster, master, client = _rig(codec, n_servers=3, slow=False)
